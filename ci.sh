@@ -5,7 +5,8 @@
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
 # ledger on + obs flame/top attribution gates), and the perf-baseline
-# smoke (exp_perf --smoke artifact gate). Mirrors `just ci`.
+# smoke (exp_perf --smoke artifact gate; exp_perf --help must do no
+# work). Mirrors `just ci`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -58,5 +59,19 @@ if [ "$scenarios" -lt 3 ]; then
   exit 1
 fi
 rm -rf "$(dirname "$perf_out")"
+# --help must print usage and exit 0 without running the benchmark or
+# writing BENCH_perf.json into the working directory.
+help_dir="$(mktemp -d)"
+perf_bin="$(pwd)/target/release/exp_perf"
+(cd "$help_dir" && "$perf_bin" --help > usage.txt) || {
+  echo "perf smoke: exp_perf --help exited non-zero" >&2
+  exit 1
+}
+if [ -e "$help_dir/BENCH_perf.json" ]; then
+  echo "perf smoke: exp_perf --help wrote BENCH_perf.json" >&2
+  exit 1
+fi
+grep -q '^usage: exp_perf' "$help_dir/usage.txt"
+rm -rf "$help_dir"
 
 echo "CI OK"

@@ -34,7 +34,7 @@
 
 use std::rc::Rc;
 
-use ssr_bench::{fmt_count, Args};
+use ssr_bench::{fmt_count, Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
 use ssr_core::{chaos, consistency};
 use ssr_graph::{generators, Labeling};
@@ -314,9 +314,33 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::switch("smoke", "the CI gate: n=16, 2 seeds, every scenario"),
+    Flag::value(
+        "only",
+        "NAME",
+        "run one scenario (sugar for --matrix scenario=NAME)",
+    ),
+    Flag::value(
+        "freeze-window",
+        "T",
+        "freeze-watchdog window in ticks (default 3000)",
+    ),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_chaos",
+        "E11: the chaos matrix, self-stabilization under an adversarial network.",
+        FLAGS,
+    );
     let smoke = args.flag("smoke");
     let seeds: u64 = if smoke { 2 } else { args.get("seeds", 3) };
     let freeze_window: u64 = args.get("freeze-window", FREEZE_WINDOW);

@@ -14,7 +14,7 @@
 //! tick, default 0.02), `--workers N`, `--matrix SPEC` (e.g.
 //! `n=100;seeds=3`), `--csv PATH`.
 
-use ssr_bench::{fmt_count, Args};
+use ssr_bench::{fmt_count, Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{make_ssr_nodes, ssr_timeline_probe, BootstrapConfig};
 use ssr_core::consistency;
 use ssr_sim::faults::{poisson_crash_rejoin_trace, poisson_link_flap_trace};
@@ -32,9 +32,23 @@ struct Outcome {
     observed: Option<(Vec<ssr_core::ConvergencePoint>, Metrics)>,
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::value("rate", "R", "crash rate per tick (default 0.02)"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_churn",
+        "E8: self-stabilization under churn, without flooding.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 5);
     let rate: f64 = args.get("rate", 0.02);
     let sizes: Vec<usize> = if args.quick() {

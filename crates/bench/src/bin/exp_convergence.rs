@@ -21,7 +21,7 @@
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=ring/pure;n=256;seeds=3`),
 //! `--csv PATH`.
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_linearize::{run, Semantics, Variant};
 use ssr_obs::Value;
 use ssr_sim::Metrics;
@@ -51,9 +51,27 @@ fn variant_for(name: &str) -> Variant {
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::value(
+        "semantics",
+        "star|pairwise",
+        "round semantics (default star)",
+    ),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_convergence",
+        "E4: convergence class of the linearization variants.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 10);
     let semantics = match args.opt("semantics").unwrap_or("star") {
         "star" => Semantics::Star,

@@ -19,7 +19,7 @@
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=linearized;n=200`),
 //! `--csv PATH`.
 
-use ssr_bench::{fmt_count, Args};
+use ssr_bench::{fmt_count, Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{run_isprp_bootstrap, run_linearized_bootstrap, BootstrapConfig};
 use ssr_obs::Value;
 use ssr_workloads::{run_matrix, summarize_counts, Table, Topology};
@@ -33,9 +33,24 @@ struct Row {
     max_state: usize,
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::switch("no-ccw", "disable the redundant counter-clockwise probes"),
+    Flag::switch("keep-edges", "disable tear-downs (the with-memory variant)"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_flooding_cost",
+        "E6: consistency without flooding, messages per bootstrap.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 5);
     let sizes: Vec<usize> = if args.quick() {
         vec![50, 100]

@@ -47,7 +47,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use ssr_bench::{fmt_count, Args};
+use ssr_bench::{fmt_count, Args, Flag};
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
 use ssr_core::routing::RoutingView;
 use ssr_core::{chaos, consistency};
@@ -403,8 +403,26 @@ fn emit(rows: &[Row], seed: u64, smoke: bool, out_path: &str) {
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    Flag::switch("smoke", "one repetition of small scenarios"),
+    Flag::value("seed", "S", "base seed (default 1)"),
+    Flag::value("repeats", "K", "timed repetitions per scenario (default 3)"),
+    Flag::value("out", "PATH", "output file (default BENCH_perf.json)"),
+    Flag::value(
+        "matrix",
+        "SPEC",
+        "restrict the scenarios, e.g. 'scenario=routing_n500'",
+    ),
+    Flag::value("workers", "N", "fan-out of the untimed breakdown runs"),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_perf",
+        "exp_perf: the performance baseline, written to BENCH_perf.json.",
+        FLAGS,
+    );
     let smoke = args.flag("smoke");
     let seed: u64 = args.get("seed", 1);
     let repeats: u64 = if smoke { 1 } else { args.get("repeats", 3) };

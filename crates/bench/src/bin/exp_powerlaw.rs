@@ -16,14 +16,28 @@
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=lsn;n=1000,10000`),
 //! `--csv PATH`.
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_linearize::{run, Semantics, Variant};
 use ssr_sim::Metrics;
 use ssr_workloads::{run_matrix, stats, Summary, Table, Topology};
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::value("alpha", "A", "power-law exponent (default 2)"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_powerlaw",
+        "E5: linearization on power-law graphs.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 5);
     let alpha: f64 = args.get("alpha", 2.0);
     let sizes: Vec<usize> = if args.quick() {

@@ -16,7 +16,7 @@
 //! Flags: `--seeds K` (default 5), `--quick`, `--workers N`,
 //! `--matrix SPEC` (e.g. `n=100,200;seeds=3`), `--csv PATH`.
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{make_ssr_nodes, run_linearized_bootstrap, BootstrapConfig};
 use ssr_core::routing::{RoutingStats, RoutingView};
 use ssr_graph::algo;
@@ -24,9 +24,12 @@ use ssr_sim::{LinkConfig, Metrics, Simulator, Time};
 use ssr_types::Rng;
 use ssr_workloads::{run_matrix, scenario::traffic_pairs, Summary, Table, Topology};
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[QUICK, SEEDS, WORKERS, MATRIX, CSV];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse("exp_routing", "E7: routing over the converged ring.", FLAGS);
     let seeds: u64 = args.get("seeds", 5);
     let sizes: Vec<usize> = if args.quick() {
         vec![50, 100]

@@ -20,16 +20,30 @@
 //! Flags: `--seeds K` (default 5), `--quick`, `--base B` (default 2),
 //! `--workers N`, `--matrix SPEC` (e.g. `n=100,200;seeds=3`), `--csv PATH`.
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{run_linearized_bootstrap, BootstrapConfig};
 use ssr_linearize::{run, Semantics, Variant};
 use ssr_sim::Metrics;
 use ssr_types::IntervalPartition;
 use ssr_workloads::{run_matrix, stats::percentile, Matrix, Summary, Table, Topology};
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    QUICK,
+    SEEDS,
+    WORKERS,
+    MATRIX,
+    CSV,
+    Flag::value("base", "B", "LSN interval base (default 2)"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_state",
+        "E9: router state, the LSN memory bound.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 5);
     let base: u64 = args.get("base", 2);
     let engine_sizes: Vec<usize> = if args.quick() {

@@ -19,7 +19,7 @@
 //! Flags: `--seeds K` (default 5), `--quick`, `--workers N`,
 //! `--matrix SPEC` (e.g. `scenario=ssr,vrr-linearized;n=30`), `--csv PATH`.
 
-use ssr_bench::{fmt_count, Args};
+use ssr_bench::{fmt_count, Args, Flag, CSV, MATRIX, QUICK, SEEDS, WORKERS};
 use ssr_core::bootstrap::{run_linearized_bootstrap, BootstrapConfig};
 use ssr_obs::Value;
 use ssr_sim::LinkConfig;
@@ -36,9 +36,16 @@ struct Row {
     mean_state: f64,
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[QUICK, SEEDS, WORKERS, MATRIX, CSV];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "exp_vrr_compare",
+        "E10: linearization applied to VRR.",
+        FLAGS,
+    );
     let seeds: u64 = args.get("seeds", 5);
     let sizes: Vec<usize> = if args.quick() {
         vec![16, 30]

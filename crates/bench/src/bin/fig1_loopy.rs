@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV};
 use ssr_core::bootstrap::{
     isprp_shape, make_isprp_nodes, run_linearized_bootstrap, BootstrapConfig,
 };
@@ -73,9 +73,16 @@ fn inject_loopy(
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    CSV,
+    Flag::value("trace-jsonl", "PATH", "stream the run trace as JSONL"),
+    Flag::switch("quick", "no effect: the figure is one fixed instance"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse("fig1_loopy", "E1: Figure 1, the loopy state.", FLAGS);
     let (topo, labels, loopy_succ) = loopy_world();
     assert_eq!(
         classify_succ_map(&loopy_succ),

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag, CSV};
 use ssr_core::bootstrap::{
     isprp_shape, make_isprp_nodes, run_linearized_bootstrap, BootstrapConfig,
 };
@@ -82,9 +82,15 @@ fn inject_two_rings(
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    CSV,
+    Flag::switch("quick", "no effect: the figure is one fixed instance"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse("fig2_rings", "E2: Figure 2, separate rings.", FLAGS);
     let (topo, labels, ring_succ) = world();
     assert_eq!(
         classify_succ_map(&ring_succ),

@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release -p ssr-bench --bin fig3_trace [-- --variant pure|memory|lsn]`
 
-use ssr_bench::Args;
+use ssr_bench::{Args, Flag};
 use ssr_graph::Graph;
 use ssr_linearize::{chain_edges_present, is_exact_chain, run, step_round, Semantics, Variant};
 use ssr_obs::Value;
@@ -42,9 +42,23 @@ fn show(g: &Graph, ids: &[u64; 8]) {
     }
 }
 
+/// The flags this binary reads (`--help` lists them).
+const FLAGS: &[Flag] = &[
+    Flag::value(
+        "variant",
+        "pure|memory|lsn",
+        "linearization variant to trace (default pure)",
+    ),
+    Flag::switch("quick", "no effect: the figure is one fixed instance"),
+];
+
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse();
+    let args = Args::parse(
+        "fig3_trace",
+        "E3: Figure 3, the linearization algorithm at work.",
+        FLAGS,
+    );
     let variant = match args.opt("variant").unwrap_or("pure") {
         "pure" => Variant::Pure,
         "memory" => Variant::Memory,

@@ -14,9 +14,91 @@
 //! * `--csv PATH` — additionally write the table as CSV,
 //! * `--quick` — smaller sweep for smoke-testing,
 //! * experiment-specific flags documented in each binary's header.
+//!
+//! Each binary declares the flags it reads as a [`Flag`] list and parses
+//! with [`Args::parse`]: `--help`/`-h` prints the usage and exits 0 before
+//! any work is done, and an undeclared flag exits 2, so a mistyped flag
+//! (`--seed` for `--seeds`) never silently runs the defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// One declared command-line flag of a binary.
+#[derive(Clone, Copy, Debug)]
+pub struct Flag {
+    /// The name without its leading `--`.
+    pub name: &'static str,
+    /// Placeholder for the value the flag takes; `None` for a switch.
+    pub value: Option<&'static str>,
+    /// One line for the `--help` listing.
+    pub help: &'static str,
+}
+
+impl Flag {
+    /// A flag that takes no value.
+    pub const fn switch(name: &'static str, help: &'static str) -> Flag {
+        Flag {
+            name,
+            value: None,
+            help,
+        }
+    }
+
+    /// A flag followed by one value.
+    pub const fn value(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+        Flag {
+            name,
+            value: Some(value),
+            help,
+        }
+    }
+}
+
+/// `--quick`: the smaller smoke-test sweep.
+pub const QUICK: Flag = Flag::switch("quick", "smaller sweep for smoke-testing");
+/// `--seeds K`: repetitions per sweep point.
+pub const SEEDS: Flag = Flag::value("seeds", "K", "repetitions per sweep point");
+/// `--workers N`: sweep fan-out width.
+pub const WORKERS: Flag = Flag::value(
+    "workers",
+    "N",
+    "sweep fan-out width (0 = every hardware thread; default cores minus one)",
+);
+/// `--matrix SPEC`: sweep-dimension override.
+pub const MATRIX: Flag = Flag::value(
+    "matrix",
+    "SPEC",
+    "override the sweep, e.g. 'scenario=a,b;n=50,100;seeds=4'",
+);
+/// `--csv PATH`: also write the table as CSV.
+pub const CSV: Flag = Flag::value("csv", "PATH", "also write the table as CSV");
+
+/// Why a command line was not accepted.
+#[derive(Debug, PartialEq, Eq)]
+enum CliError {
+    /// `--help` or `-h` was given.
+    Help,
+    /// An undeclared argument, or a value flag with no value.
+    Invalid(String),
+}
+
+/// The `--help` text for a binary with the given flags.
+fn usage(bin: &str, about: &str, flags: &[Flag]) -> String {
+    let mut rows: Vec<(String, &str)> = flags
+        .iter()
+        .map(|f| match f.value {
+            Some(v) => (format!("--{} {v}", f.name), f.help),
+            None => (format!("--{}", f.name), f.help),
+        })
+        .collect();
+    rows.push(("-h, --help".to_string(), "print this and exit"));
+    let width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+    let mut out = format!("{about}\n\nusage: {bin} [options]\n\noptions:\n");
+    for (left, help) in rows {
+        out.push_str(&format!("  {left:<width$}  {help}\n"));
+    }
+    out
+}
 
 /// Parsed command-line arguments (flag / key-value convention).
 pub struct Args {
@@ -24,10 +106,24 @@ pub struct Args {
 }
 
 impl Args {
-    /// Captures the process arguments.
-    pub fn parse() -> Args {
-        Args {
+    /// Captures the process arguments and checks them against the
+    /// binary's declared `flags`. On `--help`/`-h` prints the usage to
+    /// stdout and exits 0; on an undeclared argument prints the error and
+    /// the usage to stderr and exits 2. Either way nothing else runs.
+    pub fn parse(bin: &str, about: &str, flags: &[Flag]) -> Args {
+        let args = Args {
             raw: std::env::args().skip(1).collect(),
+        };
+        match args.check(flags) {
+            Ok(()) => args,
+            Err(CliError::Help) => {
+                print!("{}", usage(bin, about, flags));
+                std::process::exit(0)
+            }
+            Err(CliError::Invalid(msg)) => {
+                eprint!("{bin}: {msg}\n\n{}", usage(bin, about, flags));
+                std::process::exit(2)
+            }
         }
     }
 
@@ -36,6 +132,25 @@ impl Args {
         Args {
             raw: raw.iter().map(|s| s.to_string()).collect(),
         }
+    }
+
+    /// Checks every argument against `flags`: each must be a declared
+    /// `--name`, and a value flag must be followed by its value.
+    fn check(&self, flags: &[Flag]) -> Result<(), CliError> {
+        if self.raw.iter().any(|a| a == "--help" || a == "-h") {
+            return Err(CliError::Help);
+        }
+        let mut rest = self.raw.iter();
+        while let Some(arg) = rest.next() {
+            let flag = arg
+                .strip_prefix("--")
+                .and_then(|name| flags.iter().find(|f| f.name == name))
+                .ok_or_else(|| CliError::Invalid(format!("unknown argument '{arg}'")))?;
+            if flag.value.is_some() && rest.next().is_none() {
+                return Err(CliError::Invalid(format!("{arg} needs a value")));
+            }
+        }
+        Ok(())
     }
 
     /// `true` if `--name` is present.
@@ -181,6 +296,63 @@ mod tests {
         assert_eq!(a.get("seeds", 10usize), 5);
         assert_eq!(a.get("other", 7u64), 7);
         assert_eq!(a.csv(), Some("/tmp/x.csv"));
+    }
+
+    const SWEEP: &[Flag] = &[QUICK, SEEDS, WORKERS, MATRIX, CSV];
+
+    #[test]
+    fn declared_flags_pass_the_check() {
+        let a = Args::from(&[
+            "--quick", "--seeds", "5", "--matrix", "n=50", "--csv", "x.csv",
+        ]);
+        assert_eq!(a.check(SWEEP), Ok(()));
+        assert_eq!(Args::from(&[]).check(SWEEP), Ok(()));
+        // a value is taken verbatim, even when it looks like a flag
+        assert_eq!(Args::from(&["--csv", "--quick"]).check(SWEEP), Ok(()));
+    }
+
+    #[test]
+    fn help_wins_over_everything_else() {
+        for raw in [
+            &["--help"][..],
+            &["-h"],
+            &["--quick", "--help"],
+            &["--bogus", "-h"],
+        ] {
+            assert_eq!(Args::from(raw).check(SWEEP), Err(CliError::Help), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_or_incomplete_arguments_are_rejected() {
+        let invalid =
+            |raw: &[&str]| matches!(Args::from(raw).check(SWEEP), Err(CliError::Invalid(_)));
+        // the classic typo: --seed on a binary that takes --seeds
+        assert!(invalid(&["--seed", "3"]));
+        assert!(invalid(&["--seeds"]));
+        assert!(invalid(&["--seeds=3"]));
+        assert!(invalid(&["quick"]));
+        assert!(invalid(&["--quick", "5"]));
+        assert_eq!(
+            Args::from(&["--out", "x.json"]).check(SWEEP),
+            Err(CliError::Invalid("unknown argument '--out'".into()))
+        );
+    }
+
+    #[test]
+    fn usage_lists_every_declared_flag() {
+        let text = usage("exp_x", "E0: a test binary.", SWEEP);
+        assert!(text.starts_with("E0: a test binary.\n\nusage: exp_x [options]"));
+        for needle in [
+            "--quick",
+            "--seeds K",
+            "--workers N",
+            "--matrix SPEC",
+            "--csv PATH",
+            "-h, --help",
+        ] {
+            assert!(text.contains(needle), "{needle} missing from:\n{text}");
+        }
     }
 
     #[test]

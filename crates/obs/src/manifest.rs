@@ -323,10 +323,15 @@ impl Manifest {
         std::fs::write(path, self.to_json())
     }
 
-    /// Writes to the conventional location `results/<exp>.manifest.json`
-    /// (relative to the working directory) and returns the path.
+    /// The conventional location `results/<exp>.manifest.json`, relative
+    /// to the working directory.
+    pub fn default_path(&self) -> PathBuf {
+        PathBuf::from("results").join(format!("{}.manifest.json", self.exp))
+    }
+
+    /// Writes to [`Manifest::default_path`] and returns the path.
     pub fn write_default(&self) -> io::Result<PathBuf> {
-        let path = PathBuf::from("results").join(format!("{}.manifest.json", self.exp));
+        let path = self.default_path();
         self.write_to(&path)?;
         Ok(path)
     }
@@ -604,15 +609,16 @@ mod tests {
         assert_eq!(sample_manifest().to_json(), sample_manifest().to_json());
     }
 
+    /// Writes under a temp dir instead of changing the working directory:
+    /// the working directory is process-wide, and `git_describe` in the
+    /// tests running alongside reads it.
     #[test]
     fn write_default_uses_results_dir() {
         let dir = std::env::temp_dir().join("ssr_obs_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        let path = sample_manifest().write_default().unwrap();
-        std::env::set_current_dir(old).unwrap();
+        let man = sample_manifest();
+        let path = man.default_path();
         assert!(path.ends_with("results/exp_test.manifest.json"));
+        man.write_to(dir.join(&path)).unwrap();
         let text = std::fs::read_to_string(dir.join(path)).unwrap();
         assert!(parse(&text).is_ok());
     }

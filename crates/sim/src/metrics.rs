@@ -16,7 +16,7 @@
 //! |------------|-----------------|--------------------------------------------------|
 //! | `tx.*`     | simulator       | link-layer transmission outcomes: `tx.total` (every hop handed to the link layer, duplicates included), `tx.dropped` (link loss), `tx.lost_in_flight` (endpoint died / link vanished mid-flight), `tx.dup` (adversarial duplications), `tx.reordered` (bounded-delay reorderings) |
 //! | `rx.*`     | simulator       | deliveries to protocols: `rx.total`              |
-//! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
+//! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling; a kind the simulator has no slot for is counted as `msg.other`) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
 //! | `probe.*`  | probe layer     | observer-side counters (e.g. `probe.samples`)    |
 //! | other      | protocols/exps  | protocol- or experiment-specific counters, ideally `"<crate>."`-prefixed |
@@ -33,20 +33,120 @@
 
 use std::collections::BTreeMap;
 
+/// Declares [`HopCounter`] and its key table [`HOP_KEYS`] from one list,
+/// so a slot and its key cannot drift apart.
+macro_rules! hop_counters {
+    ($($slot:ident = $key:literal,)*) => {
+        /// A per-hop counter the simulator bumps on every transmission or
+        /// delivery: a fixed slot in [`Metrics`]' dense table.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum HopCounter {
+            $($slot,)*
+        }
+
+        /// The key of each [`HopCounter`] slot, indexed by the variant and
+        /// sorted, so a name resolves to its slot by binary search and the
+        /// dense table iterates in key order.
+        pub(crate) const HOP_KEYS: &[&str] = &[$($key,)*];
+    };
+}
+
+hop_counters! {
+    MsgAck = "msg.ack",
+    MsgData = "msg.data",
+    MsgDiscover = "msg.discover",
+    MsgFlood = "msg.flood",
+    MsgHello = "msg.hello",
+    MsgNotify = "msg.notify",
+    MsgOther = "msg.other",
+    MsgProbe = "msg.probe",
+    MsgSetup = "msg.setup",
+    MsgSucc = "msg.succ",
+    MsgTeardown = "msg.teardown",
+    MsgUpdate = "msg.update",
+    RxTotal = "rx.total",
+    RxWasted = "rx.wasted",
+    TxDropped = "tx.dropped",
+    TxDup = "tx.dup",
+    TxLostInFlight = "tx.lost_in_flight",
+    TxReordered = "tx.reordered",
+    TxTotal = "tx.total",
+}
+
+/// Number of dense per-hop counter slots (at most 32: one bit each in
+/// `Metrics::hops_touched`).
+const HOPS: usize = HOP_KEYS.len();
+const _: () = assert!(HOPS <= u32::BITS as usize);
+
+/// The histogram the simulator observes on every transmitted copy; kept in
+/// its own field of [`Metrics`] instead of the string-keyed map.
+pub(crate) const LATENCY_KEY: &str = "latency.ticks";
+
+impl HopCounter {
+    /// The `msg.<kind>` slot counting transmissions of a protocol message
+    /// kind (see [`crate::Protocol::kind`]). Kinds used by the workspace
+    /// protocols have their own slot; any other kind lands in `msg.other`,
+    /// so the sum under `msg.` is always `tx.total`.
+    pub(crate) fn for_kind(kind: &str) -> HopCounter {
+        match kind {
+            "ack" => HopCounter::MsgAck,
+            "data" => HopCounter::MsgData,
+            "discover" => HopCounter::MsgDiscover,
+            "flood" => HopCounter::MsgFlood,
+            "hello" => HopCounter::MsgHello,
+            "notify" => HopCounter::MsgNotify,
+            "probe" => HopCounter::MsgProbe,
+            "setup" => HopCounter::MsgSetup,
+            "succ" => HopCounter::MsgSucc,
+            "teardown" => HopCounter::MsgTeardown,
+            "update" => HopCounter::MsgUpdate,
+            _ => HopCounter::MsgOther,
+        }
+    }
+}
+
+/// The dense slot holding counter `key`, if it is a per-hop key.
+fn hop_slot(key: &str) -> Option<usize> {
+    HOP_KEYS.binary_search(&key).ok()
+}
+
 /// Counter/gauge/histogram registry for one simulation run.
 ///
 /// Keys are static strings so that protocols can use literal message-kind
-/// names without allocation. A `BTreeMap` keeps report output sorted and
-/// deterministic.
+/// names without allocation, and every listing comes out sorted by key,
+/// so report output is deterministic.
+///
+/// The counters the simulator writes on every hop (`tx.*`, `rx.*`,
+/// `msg.*`, see `HOP_KEYS`) and the `latency.ticks` histogram live in
+/// fixed fields, so the hot path increments an array slot instead of
+/// walking a map. Every other key lives in a `BTreeMap`. The string API
+/// resolves a name to wherever it lives, so callers never see the split.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
+    /// The per-hop counters, indexed by [`HopCounter`].
+    hops: [u64; HOPS],
+    /// Bit `i` set: slot `i` was written through the string API, so it is
+    /// listed even while zero (as a map entry added with delta 0 would be).
+    hops_touched: u32,
+    /// Every other counter.
     counters: BTreeMap<&'static str, u64>,
     /// min/max/sum/count per gauge, enough for mean and extremes.
     gauges: BTreeMap<&'static str, GaugeStats>,
-    /// Log-bucketed value distributions.
+    /// The `latency.ticks` histogram, once anything was recorded under it.
+    latency: Option<Histogram>,
+    /// Every other log-bucketed value distribution.
     hists: BTreeMap<&'static str, Histogram>,
     /// Periodic counter/gauge snapshots (see [`Metrics::sample_series`]).
     series: Vec<SeriesPoint>,
+}
+
+/// `items` sorted by key: the listing order of every string-API view.
+fn sorted<V>(
+    items: impl Iterator<Item = (&'static str, V)>,
+) -> std::vec::IntoIter<(&'static str, V)> {
+    let mut items: Vec<_> = items.collect();
+    items.sort_unstable_by_key(|&(k, _)| k);
+    items.into_iter()
 }
 
 /// Aggregate statistics of a sampled gauge.
@@ -288,7 +388,13 @@ impl Metrics {
     /// Adds `delta` to counter `key`.
     #[inline]
     pub fn add(&mut self, key: &'static str, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
+        match hop_slot(key) {
+            Some(i) => {
+                self.hops[i] += delta;
+                self.hops_touched |= 1 << i;
+            }
+            None => *self.counters.entry(key).or_insert(0) += delta,
+        }
     }
 
     /// Increments counter `key` by one.
@@ -297,16 +403,24 @@ impl Metrics {
         self.add(key, 1);
     }
 
+    /// Increments a per-hop counter: the simulator's hot-path write.
+    #[inline]
+    pub(crate) fn bump(&mut self, c: HopCounter) {
+        self.hops[c as usize] += 1;
+    }
+
     /// Current value of counter `key` (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        match hop_slot(key) {
+            Some(i) => self.hops[i],
+            None => self.counters.get(key).copied().unwrap_or(0),
+        }
     }
 
     /// Sum over all counters whose name starts with `prefix` — e.g. all
     /// `"msg."`-prefixed kinds for a total message count.
     pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
+        self.counters()
             .filter(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| v)
             .sum()
@@ -325,32 +439,65 @@ impl Metrics {
         self.gauges.get(key).copied()
     }
 
+    /// The histogram stored under `key`, created empty on first use.
+    fn hist_entry(&mut self, key: &'static str) -> &mut Histogram {
+        if key == LATENCY_KEY {
+            self.latency.get_or_insert_with(Histogram::new)
+        } else {
+            self.hists.entry(key).or_default()
+        }
+    }
+
     /// Records one histogram observation under `key`.
     #[inline]
     pub fn observe_hist(&mut self, key: &'static str, value: u64) {
-        self.hists.entry(key).or_default().observe(value);
+        self.hist_entry(key).observe(value);
+    }
+
+    /// Records one `latency.ticks` observation: the simulator's hot-path
+    /// histogram write.
+    #[inline]
+    pub(crate) fn observe_latency(&mut self, ticks: u64) {
+        self.latency
+            .get_or_insert_with(Histogram::new)
+            .observe(ticks);
     }
 
     /// Merges a pre-aggregated histogram into the one under `key` — used
     /// when a subsystem (e.g. the causal ledger) maintains its own
     /// [`Histogram`] and mirrors it into the registry at summary time.
     pub fn merge_hist(&mut self, key: &'static str, h: &Histogram) {
-        self.hists.entry(key).or_default().merge(h);
+        self.hist_entry(key).merge(h);
     }
 
     /// The histogram under `key`, if any observations were recorded.
     pub fn hist(&self, key: &str) -> Option<&Histogram> {
-        self.hists.get(key)
+        if key == LATENCY_KEY {
+            self.latency.as_ref()
+        } else {
+            self.hists.get(key)
+        }
     }
 
     /// All histograms in sorted key order.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(&k, v)| (k, v))
+        let latency = self.latency.as_ref().map(|h| (LATENCY_KEY, h));
+        sorted(
+            latency
+                .into_iter()
+                .chain(self.hists.iter().map(|(&k, v)| (k, v))),
+        )
     }
 
     /// All counters in sorted key order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        let hops = HOP_KEYS
+            .iter()
+            .zip(self.hops)
+            .enumerate()
+            .filter(|&(i, (_, v))| v > 0 || self.hops_touched & (1 << i) != 0)
+            .map(|(_, (&k, v))| (k, v));
+        sorted(hops.chain(self.counters.iter().map(|(&k, &v)| (k, v))))
     }
 
     /// All gauges in sorted key order.
@@ -362,8 +509,7 @@ impl Metrics {
     /// time series. The simulator calls this on a fixed tick interval when
     /// sampling is enabled (see `Simulator::sample_metrics_every`).
     pub fn sample_series(&mut self, tick: u64) {
-        let counters: Vec<(&'static str, u64)> =
-            self.counters.iter().map(|(&k, &v)| (k, v)).collect();
+        let counters: Vec<(&'static str, u64)> = self.counters().collect();
         let gauges: Vec<(&'static str, f64)> =
             self.gauges.iter().map(|(&k, g)| (k, g.mean())).collect();
         self.series.push(SeriesPoint {
@@ -383,6 +529,10 @@ impl Metrics {
     /// Time series are **not** concatenated — cross-run series belong to
     /// [`merge_series`], which aligns them by sample index instead.
     pub fn merge(&mut self, other: &Metrics) {
+        for (a, b) in self.hops.iter_mut().zip(other.hops) {
+            *a += b;
+        }
+        self.hops_touched |= other.hops_touched;
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
@@ -393,8 +543,8 @@ impl Metrics {
             e.sum += g.sum;
             e.count += g.count;
         }
-        for (k, h) in &other.hists {
-            self.hists.entry(k).or_default().merge(h);
+        for (k, h) in other.hists() {
+            self.hist_entry(k).merge(h);
         }
     }
 }
@@ -463,6 +613,114 @@ mod tests {
         m.incr("alpha");
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["alpha", "zeta"]);
+    }
+
+    #[test]
+    fn hop_table_is_sorted_and_kinds_map_to_their_slot() {
+        for w in HOP_KEYS.windows(2) {
+            assert!(w[0] < w[1], "out of order or duplicate: {w:?}");
+        }
+        for (i, key) in HOP_KEYS.iter().enumerate() {
+            assert_eq!(hop_slot(key), Some(i));
+            if let Some(kind) = key.strip_prefix("msg.") {
+                assert_eq!(HOP_KEYS[HopCounter::for_kind(kind) as usize], *key);
+            }
+        }
+        for kind in ["msg", "gossip", ""] {
+            assert_eq!(HopCounter::for_kind(kind), HopCounter::MsgOther);
+        }
+    }
+
+    #[test]
+    fn string_api_and_hot_path_share_one_slot() {
+        let mut m = Metrics::new();
+        m.add("tx.total", 3);
+        m.bump(HopCounter::TxTotal);
+        m.bump(HopCounter::MsgNotify);
+        m.incr("msg.notify");
+        assert_eq!(m.counter("tx.total"), 4);
+        assert_eq!(m.counter("msg.notify"), 2);
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![("msg.notify", 2), ("tx.total", 4)]
+        );
+        m.observe_latency(3);
+        m.observe_hist("latency.ticks", 5);
+        assert_eq!(m.hist("latency.ticks").map(Histogram::count), Some(2));
+        assert_eq!(m.hists().count(), 1);
+    }
+
+    #[test]
+    fn dense_and_named_counters_list_in_one_sorted_order() {
+        let mut m = Metrics::new();
+        m.incr("probe.samples");
+        m.bump(HopCounter::TxTotal);
+        m.incr("fwd.no_path");
+        m.bump(HopCounter::RxTotal);
+        m.add("msg.a", 2);
+        m.bump(HopCounter::MsgAck);
+        m.incr("fault.crash");
+        m.incr("prov.roots");
+        m.bump(HopCounter::MsgOther);
+        m.incr("zz.last");
+        let want = vec![
+            ("fault.crash", 1),
+            ("fwd.no_path", 1),
+            ("msg.a", 2),
+            ("msg.ack", 1),
+            ("msg.other", 1),
+            ("probe.samples", 1),
+            ("prov.roots", 1),
+            ("rx.total", 1),
+            ("tx.total", 1),
+            ("zz.last", 1),
+        ];
+        assert_eq!(m.counters().collect::<Vec<_>>(), want);
+        assert_eq!(m.counter_sum("msg."), 4);
+        m.sample_series(7);
+        assert_eq!(m.series()[0].counters, want);
+    }
+
+    #[test]
+    fn latency_hist_lists_in_sorted_order() {
+        let mut m = Metrics::new();
+        m.observe_hist("route.len", 3);
+        m.observe_latency(1);
+        m.observe_hist("prov.depth", 2);
+        m.observe_hist("chaos.recovery_ticks", 9);
+        m.observe_hist("latency.a", 4);
+        let keys: Vec<&str> = m.hists().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            vec![
+                "chaos.recovery_ticks",
+                "latency.a",
+                "latency.ticks",
+                "prov.depth",
+                "route.len"
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_delta_keys_survive_listing_and_merge() {
+        let mut a = Metrics::new();
+        a.add("tx.dup", 0);
+        a.add("fault.crash", 0);
+        a.merge_hist("latency.ticks", &Histogram::new());
+        let want = vec![("fault.crash", 0), ("tx.dup", 0)];
+        assert_eq!(a.counters().collect::<Vec<_>>(), want);
+        let mut b = Metrics::new();
+        b.merge(&a);
+        assert_eq!(b.counters().collect::<Vec<_>>(), want);
+        assert_eq!(b.hist("latency.ticks").map(Histogram::count), Some(0));
+        // a later bump keeps the slot listed once
+        b.bump(HopCounter::TxDup);
+        a.merge(&b);
+        assert_eq!(
+            a.counters().collect::<Vec<_>>(),
+            vec![("fault.crash", 0), ("tx.dup", 1)]
+        );
     }
 
     #[test]

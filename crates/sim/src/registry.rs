@@ -155,33 +155,13 @@ mod tests {
         assert!(!is_canonical_prefix("bogus."));
     }
 
-    /// The simulator's own counters must all be registered — guards against
-    /// the registry drifting behind the code it describes.
+    /// Every key the simulator writes on the hot path must be registered —
+    /// guards against a new dense slot drifting ahead of the registry.
     #[test]
     fn simulator_counters_are_registered() {
-        for k in [
-            "tx.total",
-            "tx.dropped",
-            "tx.lost_in_flight",
-            "tx.dup",
-            "tx.reordered",
-            "rx.total",
-            "rx.wasted",
-            "prov.roots",
-            "prov.wasted",
-            "fault.crash",
-            "fault.join",
-            "fault.join_dead_link",
-            "fault.link_down",
-            "fault.link_up",
-            "fault.partition",
-            "fault.partition_cut",
-            "fault.heal",
-            "fault.heal_link",
-            "probe.fired",
-            "probe.watchdog_frozen",
-        ] {
+        for k in crate::metrics::HOP_KEYS {
             assert!(is_canonical_key(k), "{k} missing from registry");
         }
+        assert!(HISTOGRAMS.contains(&crate::metrics::LATENCY_KEY));
     }
 }

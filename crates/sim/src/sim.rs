@@ -9,7 +9,7 @@ use crate::event::{CauseClass, EventKind, EventQueue, Provenance, QueueBackend};
 use crate::faults::Fault;
 use crate::ledger::{CausalLedger, ProvenanceSummary};
 use crate::link::LinkConfig;
-use crate::metrics::Metrics;
+use crate::metrics::{HopCounter, Metrics};
 use crate::time::Time;
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -301,7 +301,11 @@ pub struct Simulator<P: Protocol> {
     rng: Rng,
     metrics: Metrics,
     trace: TraceSink,
-    nbr_buf: Vec<usize>,
+    /// `live[u]`: `u`'s physical neighbours that are up, ascending — the
+    /// slice [`Ctx::neighbors`] hands out. Exact for every live node;
+    /// refreshed at each fault that changes topology or liveness, before
+    /// the dispatches that fault triggers.
+    live: Vec<Vec<usize>>,
     action_buf: Vec<Action<P::Msg>>,
     events_processed: u64,
     probes: Vec<Probe<P>>,
@@ -403,6 +407,7 @@ impl<P: Protocol> Simulator<P> {
         );
         let n = topo.node_count();
         let observing = trace.enabled() || instrumented;
+        let live = (0..n).map(|u| topo.neighbors(u).collect()).collect();
         let mut sim = Simulator {
             topo,
             alive: vec![true; n],
@@ -415,7 +420,7 @@ impl<P: Protocol> Simulator<P> {
             rng: Rng::new(seed),
             metrics: Metrics::new(),
             trace,
-            nbr_buf: Vec::new(),
+            live,
             action_buf: Vec::new(),
             events_processed: 0,
             probes: Vec::new(),
@@ -814,16 +819,13 @@ impl<P: Protocol> Simulator<P> {
         self.activations += 1;
         self.state_gen += 1;
         self.mark_dirty(node);
-        let mut nbrs = std::mem::take(&mut self.nbr_buf);
-        nbrs.clear();
-        nbrs.extend(self.topo.neighbors(node).filter(|&v| self.alive[v]));
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
         {
             let mut ctx = Ctx {
                 node,
                 now: self.now,
-                neighbors: &nbrs,
+                neighbors: &self.live[node],
                 actions: &mut actions,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
@@ -850,9 +852,22 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
         }
-        self.nbr_buf = nbrs;
         self.action_buf = actions;
         queued
+    }
+
+    /// Rebuilds `u`'s live-neighbour list from the topology and liveness.
+    fn refresh_live(&mut self, u: usize) {
+        let mut list = std::mem::take(&mut self.live[u]);
+        list.clear();
+        list.extend(self.topo.neighbors(u).filter(|&v| self.alive[v]));
+        self.live[u] = list;
+    }
+
+    /// Refreshes both endpoints' lists after the edge `{a, b}` changed.
+    fn refresh_link(&mut self, a: usize, b: usize) {
+        self.refresh_live(a);
+        self.refresh_live(b);
     }
 
     /// Link-layer transmission: applies the effective per-direction config —
@@ -861,7 +876,7 @@ impl<P: Protocol> Simulator<P> {
     fn transmit(&mut self, from: usize, to: usize, msg: P::Msg, cause: CauseClass) {
         let cfg = self.link_config(from, to);
         if cfg.dup_prob > 0.0 && self.rng.chance(cfg.dup_prob) {
-            self.metrics.incr("tx.dup");
+            self.metrics.bump(HopCounter::TxDup);
             self.transmit_copy(from, to, msg.clone(), &cfg, cause);
         }
         self.transmit_copy(from, to, msg, &cfg, cause);
@@ -882,8 +897,8 @@ impl<P: Protocol> Simulator<P> {
     ) {
         let kind = P::kind(&msg);
         let prov = self.alloc_prov(cause);
-        self.metrics.incr("tx.total");
-        self.metrics.incr(kind_key(kind));
+        self.metrics.bump(HopCounter::TxTotal);
+        self.metrics.bump(HopCounter::for_kind(kind));
         if let Some(ledger) = self.ledger.as_deref_mut() {
             ledger.record_send(cause, kind, from);
         }
@@ -897,7 +912,7 @@ impl<P: Protocol> Simulator<P> {
             });
         }
         if cfg.drop_prob > 0.0 && self.rng.chance(cfg.drop_prob) {
-            self.metrics.incr("tx.dropped");
+            self.metrics.bump(HopCounter::TxDropped);
             if self.trace.enabled() {
                 self.trace.record(TraceEvent::Lost {
                     at: self.now,
@@ -917,9 +932,9 @@ impl<P: Protocol> Simulator<P> {
         let mut latency = cfg.latency.sample(&mut self.rng);
         if cfg.reorder_prob > 0.0 && self.rng.chance(cfg.reorder_prob) {
             latency += self.rng.range(1, cfg.reorder_window.max(1) + 1);
-            self.metrics.incr("tx.reordered");
+            self.metrics.bump(HopCounter::TxReordered);
         }
-        self.metrics.observe_hist("latency.ticks", latency);
+        self.metrics.observe_latency(latency);
         self.queue.push(
             self.now + latency,
             EventKind::Deliver { dst: to, from, msg },
@@ -928,11 +943,12 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Delivery-time checks: the receiver must still be alive and the link
-    /// must still exist (mobility may have severed it in flight).
+    /// must still exist (mobility may have severed it in flight) with the
+    /// sender up — i.e. `from` is in the receiver's live-neighbour list.
     fn deliver(&mut self, dst: usize, from: usize, msg: P::Msg) {
         let prov = self.frame.expect("delivery outside an event frame");
-        if !self.alive[dst] || !self.alive[from] || !self.topo.has_edge(from, dst) {
-            self.metrics.incr("tx.lost_in_flight");
+        if !self.alive[dst] || self.live[dst].binary_search(&from).is_err() {
+            self.metrics.bump(HopCounter::TxLostInFlight);
             if self.trace.enabled() {
                 self.trace.record(TraceEvent::Lost {
                     at: self.now,
@@ -954,7 +970,7 @@ impl<P: Protocol> Simulator<P> {
                 prov,
             });
         }
-        self.metrics.incr("rx.total");
+        self.metrics.bump(HopCounter::RxTotal);
         self.deliveries += 1;
         if let Some(ledger) = self.ledger.as_deref_mut() {
             ledger.record_delivery(prov.cause, kind, dst, prov.depth);
@@ -963,7 +979,7 @@ impl<P: Protocol> Simulator<P> {
         if queued == 0 {
             // Wasted work: the delivery triggered no onward action — the
             // receiver already knew everything the message told it.
-            self.metrics.incr("rx.wasted");
+            self.metrics.bump(HopCounter::RxWasted);
             if let Some(ledger) = self.ledger.as_deref_mut() {
                 ledger.record_wasted(prov.cause, kind, dst);
             }
@@ -986,11 +1002,10 @@ impl<P: Protocol> Simulator<P> {
                 }
                 self.alive[node] = false;
                 self.metrics.incr("fault.crash");
-                let nbrs: Vec<usize> = self
-                    .topo
-                    .neighbors(node)
-                    .filter(|&v| self.alive[v])
-                    .collect();
+                let nbrs = self.live[node].clone();
+                for &v in &nbrs {
+                    self.refresh_live(v);
+                }
                 for v in nbrs {
                     self.dispatch(v, |p, ctx| p.on_neighbor_down(ctx, node));
                 }
@@ -1001,8 +1016,7 @@ impl<P: Protocol> Simulator<P> {
                 }
                 // Sever any stale physical edges from before the crash, then
                 // install the new ones.
-                let old: Vec<usize> = self.topo.isolate(node);
-                let _ = old;
+                self.topo.isolate(node);
                 self.alive[node] = true;
                 self.metrics.incr("fault.join");
                 let mut fresh = Vec::new();
@@ -1020,6 +1034,10 @@ impl<P: Protocol> Simulator<P> {
                         self.metrics.incr("fault.join_dead_link");
                     }
                 }
+                self.refresh_live(node);
+                for &v in &fresh {
+                    self.refresh_live(v);
+                }
                 self.protocols[node].reset();
                 self.dispatch(node, |p, ctx| p.on_init(ctx));
                 for v in fresh {
@@ -1029,6 +1047,7 @@ impl<P: Protocol> Simulator<P> {
             Fault::LinkDown { a, b } => {
                 if self.topo.remove_edge(a, b) {
                     self.metrics.incr("fault.link_down");
+                    self.refresh_link(a, b);
                     if self.alive[a] {
                         self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
                     }
@@ -1040,6 +1059,7 @@ impl<P: Protocol> Simulator<P> {
             Fault::LinkUp { a, b } => {
                 if a != b && self.alive[a] && self.alive[b] && self.topo.add_edge(a, b) {
                     self.metrics.incr("fault.link_up");
+                    self.refresh_link(a, b);
                     self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
                     self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
                 }
@@ -1066,6 +1086,7 @@ impl<P: Protocol> Simulator<P> {
                     if self.topo.remove_edge(a, b) {
                         self.metrics.incr("fault.partition_cut");
                         self.severed.push((a, b));
+                        self.refresh_link(a, b);
                         if self.alive[a] {
                             self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
                         }
@@ -1081,33 +1102,13 @@ impl<P: Protocol> Simulator<P> {
                 for (a, b) in severed {
                     if self.alive[a] && self.alive[b] && self.topo.add_edge(a, b) {
                         self.metrics.incr("fault.heal_link");
+                        self.refresh_link(a, b);
                         self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
                         self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
                     }
                 }
             }
         }
-    }
-}
-
-/// Maps a protocol message kind to its metrics key. Kinds used by the
-/// workspace protocols are interned here; unknown kinds fall back to
-/// `"msg.other"` so the sum under `msg.` is always the total.
-fn kind_key(kind: &'static str) -> &'static str {
-    match kind {
-        "notify" => "msg.notify",
-        "ack" => "msg.ack",
-        "teardown" => "msg.teardown",
-        "discover" => "msg.discover",
-        "succ" => "msg.succ",
-        "update" => "msg.update",
-        "flood" => "msg.flood",
-        "hello" => "msg.hello",
-        "setup" => "msg.setup",
-        "data" => "msg.data",
-        "probe" => "msg.probe",
-        "msg" => "msg.other",
-        _ => "msg.other",
     }
 }
 
@@ -1531,6 +1532,106 @@ mod tests {
         sim.run_until(Time(21));
         assert!(sim.topology().has_edge(1, 2));
         assert_eq!(sim.metrics().counter("fault.join_dead_link"), 1);
+    }
+
+    /// Every live node's cached list must equal a fresh filter of the
+    /// topology by liveness — checked after every single event of a run
+    /// that exercises each fault kind while traffic is in flight.
+    #[test]
+    fn live_neighbour_cache_matches_topology_after_every_event() {
+        fn assert_exact(sim: &Simulator<Chatter>) {
+            for u in (0..sim.topo.node_count()).filter(|&u| sim.alive[u]) {
+                let want: Vec<usize> = sim.topo.neighbors(u).filter(|&v| sim.alive[v]).collect();
+                assert_eq!(sim.live[u], want, "node {u} at {:?}", sim.now());
+            }
+        }
+        let topo = generators::gnp(10, 0.5, &mut Rng::new(3));
+        let mut sim = Simulator::new(
+            topo,
+            vec![Chatter { received: 0 }; 10],
+            LinkConfig::jittered(1, 3),
+            47,
+        );
+        let faults = [
+            (3, Fault::Crash { node: 2 }),
+            (4, Fault::Crash { node: 5 }),
+            // 5 is still down: that requested link cannot come up
+            (
+                6,
+                Fault::Join {
+                    node: 2,
+                    links: vec![0, 1, 5, 7],
+                },
+            ),
+            (8, Fault::LinkDown { a: 0, b: 1 }),
+            (9, Fault::LinkUp { a: 0, b: 1 }),
+            (9, Fault::LinkUp { a: 3, b: 8 }),
+            (
+                10,
+                Fault::Partition {
+                    groups: vec![vec![0, 1, 2, 3], vec![4, 6, 7]],
+                },
+            ),
+            (12, Fault::Crash { node: 3 }),
+            (14, Fault::Heal),
+            (
+                16,
+                Fault::Join {
+                    node: 5,
+                    links: vec![2, 3, 4],
+                },
+            ),
+            (18, Fault::LinkDown { a: 4, b: 5 }),
+        ];
+        for (at, fault) in faults {
+            sim.schedule_fault(Time(at), fault);
+        }
+        assert_exact(&sim);
+        while sim.step() {
+            assert_exact(&sim);
+        }
+        let m = sim.metrics();
+        for key in [
+            "fault.crash",
+            "fault.join",
+            "fault.join_dead_link",
+            "fault.link_down",
+            "fault.link_up",
+            "fault.partition_cut",
+            "fault.heal_link",
+        ] {
+            assert!(m.counter(key) > 0, "{key} never applied");
+        }
+    }
+
+    /// A kind without its own slot is metered as `msg.other`, never under
+    /// a `msg.<kind>` key of its own, and `msg.` still sums to `tx.total`.
+    #[test]
+    fn unknown_kind_lands_in_msg_other() {
+        #[derive(Clone)]
+        struct Kinds;
+        impl Protocol for Kinds {
+            type Msg = &'static str;
+            fn on_init(&mut self, ctx: &mut Ctx<'_, &'static str>) {
+                for kind in ["notify", "gossip", "msg"] {
+                    ctx.broadcast(kind);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, &'static str>, _: usize, _: &'static str) {}
+            fn reset(&mut self) {}
+            fn kind(msg: &&'static str) -> &'static str {
+                msg
+            }
+        }
+        let mut sim = Simulator::new(generators::line(2), vec![Kinds; 2], LinkConfig::ideal(), 5);
+        sim.run_to_quiescence(100);
+        let m = sim.metrics();
+        assert_eq!(m.counter("msg.notify"), 2);
+        assert_eq!(m.counter("msg.other"), 4);
+        assert_eq!(m.counter("msg.gossip"), 0);
+        assert!(m.counters().all(|(k, _)| k != "msg.gossip"));
+        assert_eq!(m.counter_sum("msg."), m.counter("tx.total"));
+        assert_eq!(m.counter("tx.total"), 6);
     }
 
     #[test]
